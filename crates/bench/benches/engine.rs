@@ -1,16 +1,18 @@
 //! Substrate micro-benchmarks: SAT solving, parsing, assertion
-//! equivalence, BMC/k-induction scaling, and the evaluation engine's
-//! parallel speed-up and verdict-cache behaviour.
+//! equivalence, BMC/k-induction scaling, BLEU scoring, and the
+//! evaluation engine's parallel speed-up and verdict-cache behaviour.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use fv_core::{check_equivalence, prove, EquivConfig, ProveConfig, SignalTable};
 use fveval_bench::pigeonhole;
-use fveval_core::{design_task_specs, machine_task_specs, EvalEngine};
+use fveval_core::{
+    bleu, design_task_specs, human_task_specs, machine_task_specs, BleuReference, EvalEngine,
+};
 use fveval_data::{
     fsm_sweep, generate_machine_cases, generate_pipeline, human_cases, machine_signal_table,
     signal_table_for, testbenches, MachineGenConfig, PipelineParams,
 };
-use fveval_llm::{profiles, Backend, InferenceConfig};
+use fveval_llm::{profiles, Backend, InferenceConfig, Request};
 use std::hint::black_box;
 use std::time::Duration;
 use sv_parser::{parse_assertion_str, parse_source};
@@ -434,11 +436,15 @@ fn bench_scenario_gen(c: &mut Criterion) {
         seed: 0x5CE7,
         ..Default::default()
     };
-    g.bench_function("generate_suite_24", |b| {
-        b.iter(|| black_box(fveval_gen::generate_suite(&cfg)))
-    });
-
+    // Named by shape (families x scenarios per family), so the id
+    // follows the default family list.
     let suite = fveval_gen::generate_suite(&cfg);
+    let families = suite.scenarios.len() / cfg.per_family;
+    g.bench_function(
+        format!("generate_suite_{families}x{}", cfg.per_family),
+        |b| b.iter(|| black_box(fveval_gen::generate_suite(&cfg))),
+    );
+
     assert!(
         suite.candidate_count() >= 100,
         "Table-2-order query count ({})",
@@ -489,11 +495,71 @@ fn bench_scenario_gen(c: &mut Criterion) {
     g.finish();
 }
 
+/// BLEU on the human set's scoring mix: every reference against the
+/// responses of three profiles at 5 samples each (~1.2k pairs). The
+/// one-shot arm prepares the reference per pair (`bleu`); the session
+/// arm prepares it once per case, as an NL2SVA session does.
+fn bench_bleu(c: &mut Criterion) {
+    let mut g = c.benchmark_group("bleu");
+    g.sample_size(20).measurement_time(Duration::from_secs(5));
+    let tables: std::collections::HashMap<&str, SignalTable> = testbenches()
+        .into_iter()
+        .map(|tb| {
+            let t = signal_table_for(&tb).expect("testbench elaborates");
+            (tb.name, t)
+        })
+        .collect();
+    let human = human_cases();
+    let tasks = human_task_specs(&human, &tables);
+    let models = profiles();
+    let cfg = InferenceConfig::sampling();
+    let cases: Vec<(&str, Vec<String>)> = human
+        .iter()
+        .zip(&tasks)
+        .map(|(case, task)| {
+            let responses = models[..3]
+                .iter()
+                .flat_map(|m| {
+                    (0..5).map(|sample_idx| {
+                        m.generate(&Request {
+                            task: std::sync::Arc::clone(task),
+                            cfg,
+                            sample_idx,
+                        })
+                    })
+                })
+                .collect();
+            (case.reference.as_str(), responses)
+        })
+        .collect();
+    g.bench_function("one_shot_pairs", |b| {
+        b.iter(|| {
+            for (reference, responses) in &cases {
+                for response in responses {
+                    black_box(bleu(reference, response));
+                }
+            }
+        })
+    });
+    g.bench_function("session_reuse", |b| {
+        b.iter(|| {
+            for (reference, responses) in &cases {
+                let prepared = BleuReference::new(reference);
+                for response in responses {
+                    black_box(prepared.score(response));
+                }
+            }
+        })
+    });
+    g.finish();
+}
+
 criterion_group!(
     benches,
     bench_sat,
     bench_parser,
     bench_equivalence,
+    bench_bleu,
     bench_model_checking,
     bench_formal_core,
     bench_eval_engine,

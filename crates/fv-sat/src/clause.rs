@@ -76,6 +76,9 @@ pub(crate) struct ClauseDb {
     clauses: Vec<Clause>,
     /// Indices of deleted slots available for reuse.
     free: Vec<u32>,
+    /// Live learned clauses, kept by `alloc`/`free` so the search can
+    /// read it per conflict without scanning the arena.
+    learnt_live: usize,
 }
 
 impl ClauseDb {
@@ -85,6 +88,7 @@ impl ClauseDb {
 
     pub fn alloc(&mut self, lits: Vec<Lit>, learnt: bool) -> ClauseRef {
         let clause = Clause::new(lits, learnt);
+        self.learnt_live += usize::from(learnt);
         if let Some(slot) = self.free.pop() {
             self.clauses[slot as usize] = clause;
             ClauseRef(slot)
@@ -99,6 +103,7 @@ impl ClauseDb {
         debug_assert!(!c.deleted);
         c.deleted = true;
         c.lits_mut().clear();
+        self.learnt_live -= usize::from(c.learnt);
         self.free.push(cref.0);
     }
 
@@ -119,6 +124,12 @@ impl ClauseDb {
             .enumerate()
             .filter(|(_, c)| c.learnt && !c.deleted)
             .map(|(i, _)| ClauseRef(i as u32))
+    }
+
+    /// Number of live learned clauses.
+    #[inline]
+    pub fn learnt_count(&self) -> usize {
+        self.learnt_live
     }
 
     pub fn live_count(&self) -> usize {
@@ -156,5 +167,9 @@ mod tests {
         db.free(l1);
         let live: Vec<_> = db.learnt_refs().collect();
         assert_eq!(live, vec![l2]);
+        assert_eq!(db.learnt_count(), 1);
+        let l3 = db.alloc(vec![a], true);
+        assert_eq!(l3, l1, "freed slot is reused");
+        assert_eq!(db.learnt_count(), db.learnt_refs().count());
     }
 }

@@ -112,6 +112,9 @@ pub struct Solver {
     cla_inc: f64,
     /// Scratch: seen markers for conflict analysis.
     seen: Vec<bool>,
+    /// Scratch: every variable `analyze` marked in `seen`, so clearing
+    /// the markers costs the conflict's size, not the variable count.
+    marked: Vec<Var>,
     /// `true` once an empty clause was added at level 0.
     unsat_at_root: bool,
     stats: SolverStats,
@@ -149,6 +152,7 @@ impl Solver {
             order: VarHeap::new(),
             cla_inc: 1.0,
             seen: Vec::new(),
+            marked: Vec::new(),
             unsat_at_root: false,
             stats: SolverStats::default(),
             max_learnt: 1000.0,
@@ -522,12 +526,13 @@ impl Solver {
         loop {
             debug_assert!(conflict.is_defined());
             self.bump_clause(conflict);
-            let lits: Vec<Lit> = self.db.get(conflict).lits().to_vec();
             let skip = usize::from(p.is_some());
-            for &q in lits.iter().skip(skip) {
+            for i in skip..self.db.get(conflict).len() {
+                let q = self.db.get(conflict).lits()[i];
                 let v = q.var();
                 if !self.seen[v.index()] && self.var_data[v.index()].level > 0 {
                     self.seen[v.index()] = true;
+                    self.marked.push(v);
                     self.bump_var(v);
                     if self.var_data[v.index()].level >= self.decision_level() {
                         counter += 1;
@@ -563,20 +568,10 @@ impl Solver {
         learnt.truncate(1);
         learnt.extend(keep);
 
-        // Clear seen markers.
-        for l in &learnt {
-            self.seen[l.var().index()] = false;
-        }
-        // (Markers set during the loop for dropped literals were cleared in
-        // the trail walk; redundant() leaves `seen` as-is for learnt lits.)
-        let mut to_clear: Vec<usize> = Vec::new();
-        for (i, s) in self.seen.iter().enumerate() {
-            if *s {
-                to_clear.push(i);
-            }
-        }
-        for i in to_clear {
-            self.seen[i] = false;
+        // Clear seen markers (the trail walk already cleared some;
+        // minimization dropped learnt literals whose markers remain).
+        for v in self.marked.drain(..) {
+            self.seen[v.index()] = false;
         }
 
         // Backtrack level = second-highest level in the clause.
@@ -691,7 +686,7 @@ impl Solver {
             self.db.free(cref);
             removed += 1;
         }
-        self.stats.learnt = self.db.learnt_refs().count() as u64;
+        self.stats.learnt = self.db.learnt_count() as u64;
     }
 
     fn is_reason(&self, cref: ClauseRef) -> bool {
@@ -749,7 +744,7 @@ impl Solver {
                     self.enqueue(asserting, cref);
                 }
                 self.decay_activities();
-                if self.db.learnt_refs().count() as f64 > self.max_learnt {
+                if self.db.learnt_count() as f64 > self.max_learnt {
                     self.reduce_db();
                     self.max_learnt *= 1.1;
                 }
@@ -1106,5 +1101,49 @@ mod tests {
         s.add_clause([Lit::pos(v)]);
         assert!(s.solve_with(&[!sel]).is_sat());
         assert_eq!(s.value(v), Some(true));
+    }
+
+    /// Seeded random 3-SAT at the phase-transition ratio (4.26): hard
+    /// enough to restart, reduce the learnt database and minimize
+    /// learnt clauses, small enough for a debug build.
+    fn random_3sat(s: &mut Solver, n: usize, m: usize, mut seed: u64) {
+        let vars: Vec<Var> = (0..n).map(|_| s.new_var()).collect();
+        let mut next = move || {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            seed
+        };
+        for _ in 0..m {
+            let c: Vec<Lit> = (0..3)
+                .map(|_| Lit::new(vars[(next() % n as u64) as usize], next() % 2 == 0))
+                .collect();
+            s.add_clause(c);
+        }
+    }
+
+    /// The search is a pure function of the formula: these counters
+    /// were recorded before the conflict-path bookkeeping was made
+    /// incremental, and any change to the order of decisions,
+    /// propagations or learnt-clause reduction shows up here.
+    #[test]
+    fn search_counters_are_pinned() {
+        let cases = [
+            (180, 11, SolveResult::Sat, (6946, 206252, 5692, 29, 886)),
+            (200, 13, SolveResult::Unsat, (11870, 364724, 9769, 42, 1179)),
+        ];
+        for (n, seed, result, (decisions, propagations, conflicts, restarts, learnt)) in cases {
+            let mut s = Solver::new();
+            random_3sat(&mut s, n, n * 426 / 100, seed);
+            assert_eq!(s.solve(), result, "n={n} seed={seed}");
+            let want = SolverStats {
+                decisions,
+                propagations,
+                conflicts,
+                restarts,
+                learnt,
+            };
+            assert_eq!(s.stats(), want, "n={n} seed={seed}");
+        }
     }
 }

@@ -633,14 +633,12 @@ impl EvalEngine {
                         Err(_) => GroupScorer::Broken,
                     }
                 }
-                TaskSpec::Nl2svaHuman { case, table } => GroupScorer::Nl(
-                    self.nl2sva.open_session(&case.reference, table),
-                    &case.reference,
-                ),
-                TaskSpec::Nl2svaMachine { case, table } => GroupScorer::Nl(
-                    self.nl2sva.open_session(&case.reference_text, table),
-                    &case.reference_text,
-                ),
+                TaskSpec::Nl2svaHuman { case, table } => {
+                    GroupScorer::Nl(self.nl2sva.open_session(&case.reference, table))
+                }
+                TaskSpec::Nl2svaMachine { case, table } => {
+                    GroupScorer::Nl(self.nl2sva.open_session(&case.reference_text, table))
+                }
             };
             for (backend, unit) in backends.iter().zip(&mut prepared) {
                 for (sample_idx, response) in &unit.missing {
@@ -671,10 +669,7 @@ impl EvalEngine {
         let _span = fv_trace::span!("engine.score");
         let (eval, stats) = match scorer {
             GroupScorer::Design(session) => self.d2s.evaluate_in_session(session, response),
-            GroupScorer::Nl(session, reference_text) => {
-                self.nl2sva
-                    .evaluate_in_session(session, reference_text, response)
-            }
+            GroupScorer::Nl(session) => self.nl2sva.evaluate_in_session(session, response),
             GroupScorer::Broken => (SampleEval::failed(), ProverStats::default()),
         };
         self.prover
@@ -753,9 +748,9 @@ enum GroupScorer<'s> {
     /// Design2SVA: a shared [`fv_core::ProofSession`] over the
     /// compiled base netlist.
     Design(DesignSession<'s>),
-    /// NL2SVA: a shared [`fv_core::EquivSession`] plus the reference
-    /// text (for BLEU).
-    Nl(NlSession<'s>, &'s str),
+    /// NL2SVA: a shared [`fv_core::EquivSession`] plus the prepared
+    /// BLEU reference.
+    Nl(NlSession<'s>),
     /// Design collateral failed to compile (defensive; phase 1 fails
     /// such samples before scoring).
     Broken,

@@ -27,7 +27,7 @@ mod report;
 mod stats;
 mod tokenize;
 
-pub use bleu::bleu;
+pub use bleu::{bleu, BleuReference};
 pub use design2sva::{compile_design, CompiledDesign, Design2svaRunner, DesignSession};
 pub use engine::{
     design_task_specs, generated_task_specs, human_task_specs, machine_task_specs, CacheStats,

@@ -4,9 +4,10 @@
 //! [`Nl2svaRunner::open_session`] parses and compiles the reference
 //! assertion once per case into an [`fv_core::EquivSession`], and every
 //! candidate sample (across all models) is checked against it on the
-//! shared trace and solver.
+//! shared trace and solver. The session also prepares the reference for
+//! BLEU once ([`BleuReference`]), so each sample only tokenizes itself.
 
-use crate::bleu::bleu;
+use crate::bleu::BleuReference;
 use crate::engine::{human_task_specs, machine_task_specs, EvalEngine};
 use crate::metrics::{CaseEvals, SampleEval};
 use fv_core::{EquivConfig, EquivSession, ProverStats, SignalTable};
@@ -34,7 +35,8 @@ pub struct Nl2svaRunner {
 }
 
 /// A per-case scoring session: the reference assertion compiled once
-/// into a shared [`EquivSession`], reused by every candidate sample.
+/// into a shared [`EquivSession`] and tokenized once into a
+/// [`BleuReference`], both reused by every candidate sample.
 /// Obtain via [`Nl2svaRunner::open_session`], feed it through
 /// [`Nl2svaRunner::evaluate_in_session`].
 pub struct NlSession<'t> {
@@ -45,9 +47,12 @@ enum NlSessionState<'t> {
     /// The reference text failed to parse: every sample is a tool
     /// failure (as in the one-shot path).
     BadReference,
-    /// Boxed: the session (graph + solver + simulators) dwarfs the
-    /// empty variant, and one box per case is noise.
-    Open(Box<EquivSession<'t>>),
+    Open {
+        /// Boxed: the session (graph + solver + simulators) dwarfs the
+        /// empty variant, and one box per case is noise.
+        equiv: Box<EquivSession<'t>>,
+        bleu: BleuReference<'t>,
+    },
 }
 
 impl NlSession<'_> {
@@ -55,7 +60,7 @@ impl NlSession<'_> {
     pub fn stats(&self) -> ProverStats {
         match &self.state {
             NlSessionState::BadReference => ProverStats::default(),
-            NlSessionState::Open(equiv) => equiv.stats(),
+            NlSessionState::Open { equiv, .. } => equiv.stats(),
         }
     }
 }
@@ -83,14 +88,20 @@ impl Nl2svaRunner {
     /// Opens a scoring session for one case: the reference assertion is
     /// parsed (and later compiled) once, and every candidate checked
     /// through the session shares its trace, strashed graph, and
-    /// solver. An unparseable reference yields a session that scores
-    /// every sample as a tool failure, matching the one-shot path.
-    pub fn open_session<'t>(&self, reference_text: &str, table: &'t SignalTable) -> NlSession<'t> {
+    /// solver, and its BLEU reference n-grams. An unparseable reference
+    /// yields a session that scores every sample as a tool failure,
+    /// matching the one-shot path.
+    pub fn open_session<'t>(
+        &self,
+        reference_text: &'t str,
+        table: &'t SignalTable,
+    ) -> NlSession<'t> {
         NlSession {
             state: match parse_assertion_str(reference_text) {
-                Ok(reference) => {
-                    NlSessionState::Open(Box::new(EquivSession::open(reference, table, self.equiv)))
-                }
+                Ok(reference) => NlSessionState::Open {
+                    equiv: Box::new(EquivSession::open(reference, table, self.equiv)),
+                    bleu: BleuReference::new(reference_text),
+                },
                 Err(_) => NlSessionState::BadReference,
             },
         }
@@ -122,37 +133,35 @@ impl Nl2svaRunner {
         table: &SignalTable,
     ) -> (SampleEval, ProverStats) {
         let mut session = self.open_session(reference_text, table);
-        self.evaluate_in_session(&mut session, reference_text, response)
+        self.evaluate_in_session(&mut session, response)
     }
 
     /// Scores one response through a shared per-case session. The
     /// verdict is identical to [`Nl2svaRunner::evaluate_response`] —
-    /// sessions only change *how much work* the equivalence check
-    /// costs, never its outcome. `reference_text` must be the text the
-    /// session was opened with (used for BLEU).
+    /// sessions only change *how much work* the equivalence check and
+    /// BLEU cost, never their outcome (BLEU is the same to the bit).
     pub fn evaluate_in_session(
         &self,
         session: &mut NlSession<'_>,
-        reference_text: &str,
         response: &str,
     ) -> (SampleEval, ProverStats) {
-        let equiv = match &mut session.state {
+        let (equiv, bleu) = match &mut session.state {
             NlSessionState::BadReference => return (SampleEval::failed(), ProverStats::default()),
-            NlSessionState::Open(equiv) => equiv,
+            NlSessionState::Open { equiv, bleu } => (equiv, &*bleu),
         };
         let candidate = match parse_assertion_str(response) {
             Ok(a) => a,
             Err(_) => {
                 return (
                     SampleEval {
-                        bleu: bleu(reference_text, response),
+                        bleu: bleu.score(response),
                         ..SampleEval::failed()
                     },
                     ProverStats::default(),
                 )
             }
         };
-        let b = bleu(reference_text, response);
+        let b = bleu.score(response);
         let before = equiv.stats();
         match equiv.check(&candidate) {
             Err(_) => (
@@ -296,7 +305,7 @@ mod tests {
         let mut session = r.open_session(reference, &t);
         for resp in responses {
             assert_eq!(
-                r.evaluate_in_session(&mut session, reference, resp).0,
+                r.evaluate_in_session(&mut session, resp).0,
                 r.evaluate_response(reference, resp, &t),
                 "{resp}"
             );
@@ -315,11 +324,7 @@ mod tests {
         let t = table();
         let reference = "assert property (@(posedge clk) (a";
         let mut session = r.open_session(reference, &t);
-        let e = r.evaluate_in_session(
-            &mut session,
-            reference,
-            "assert property (@(posedge clk) a);",
-        );
+        let e = r.evaluate_in_session(&mut session, "assert property (@(posedge clk) a);");
         assert_eq!(
             e.0,
             r.evaluate_response(reference, "assert property (@(posedge clk) a);", &t)

@@ -9,24 +9,58 @@
 /// Splits text into lexical code tokens (identifiers, numbers, one
 /// token per operator/punctuation char). Used by BLEU.
 pub fn code_tokens(text: &str) -> Vec<String> {
-    let mut out = Vec::new();
-    let mut cur = String::new();
-    for ch in text.chars() {
-        if ch.is_ascii_alphanumeric() || ch == '_' || ch == '$' {
-            cur.push(ch);
-        } else {
-            if !cur.is_empty() {
-                out.push(std::mem::take(&mut cur));
+    CodeTokens::new(text).map(str::to_owned).collect()
+}
+
+/// The tokens of [`code_tokens`] as slices of the input, with no
+/// allocation: a run of ASCII alphanumerics, `_` and `$` is one token;
+/// every other non-whitespace char (multi-byte ones included) is a
+/// token of its own; whitespace (Unicode's definition) separates.
+#[derive(Debug, Clone)]
+pub(crate) struct CodeTokens<'a> {
+    text: &'a str,
+    pos: usize,
+}
+
+impl<'a> CodeTokens<'a> {
+    pub(crate) fn new(text: &'a str) -> CodeTokens<'a> {
+        CodeTokens { text, pos: 0 }
+    }
+}
+
+fn is_ident_byte(b: u8) -> bool {
+    b.is_ascii_alphanumeric() || b == b'_' || b == b'$'
+}
+
+impl<'a> Iterator for CodeTokens<'a> {
+    type Item = &'a str;
+
+    fn next(&mut self) -> Option<&'a str> {
+        let bytes = self.text.as_bytes();
+        while let Some(&b) = bytes.get(self.pos) {
+            let start = self.pos;
+            if is_ident_byte(b) {
+                self.pos += bytes[start..]
+                    .iter()
+                    .position(|&b| !is_ident_byte(b))
+                    .unwrap_or(bytes.len() - start);
+                return Some(&self.text[start..self.pos]);
             }
+            let ch = if b.is_ascii() {
+                char::from(b)
+            } else {
+                self.text[start..]
+                    .chars()
+                    .next()
+                    .expect("pos is on a char boundary")
+            };
+            self.pos += ch.len_utf8();
             if !ch.is_whitespace() {
-                out.push(ch.to_string());
+                return Some(&self.text[start..self.pos]);
             }
         }
+        None
     }
-    if !cur.is_empty() {
-        out.push(cur);
-    }
-    out
 }
 
 /// Approximate subword token count (Llama-3 tokenizer substitute).
@@ -66,6 +100,15 @@ mod tests {
             vec!["a", "|", "-", ">", "#", "#", "2", "b", ";"]
         );
         assert_eq!(code_tokens("$onehot0(x)"), vec!["$onehot0", "(", "x", ")"]);
+    }
+
+    #[test]
+    fn code_tokens_keep_multibyte_chars_whole() {
+        assert_eq!(
+            code_tokens("λx\u{a0}é_1 $past(a_b)\u{2003}≤\x0b;"),
+            vec!["λ", "x", "é", "_1", "$past", "(", "a_b", ")", "≤", ";"]
+        );
+        assert!(code_tokens(" \t\n\u{85}\u{3000}").is_empty());
     }
 
     #[test]
